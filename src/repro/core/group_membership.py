@@ -429,15 +429,14 @@ class GroupMembership(Component):
         if self._status != VIEW_CHANGE_IN_PROGRESS or self._proposed:
             return
         view = self._view
-        missing = [
-            member
-            for member in view.members
-            if member not in self._syncs and not self._suspects(member)
-        ]
-        if missing:
+        syncs = self._syncs
+        # Both conditions are side-effect free: test the cheap count first.
+        if len(syncs) < view.majority():
             return
-        if len(self._syncs) < view.majority():
-            return
+        for member in view.members:
+            if member not in syncs and not self._suspects(member):
+                # Still waiting for the SYNC of a trusted member.
+                return
         self._proposed = True
         survivors = tuple(m for m in view.members if m in self._syncs)
         joiners = tuple(

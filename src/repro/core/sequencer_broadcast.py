@@ -76,11 +76,30 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         self._frozen = False
         self._future: Dict[Tuple[int, int], List[Tuple[int, Any]]] = {}
 
-        # Per-view state (reset by _reset_view_state).  Messages are tagged
-        # with the totally ordered view identity (epoch, view_id), so views
-        # of different reformation epochs can never be confused even when
-        # their view_id values collide.
-        self._view_id = membership.view.vid
+        self._reset_view_state(membership.view)
+
+        #: Diagnostics.
+        self.batches_sequenced = 0
+
+    def _reset_view_state(self, view: View) -> None:
+        """Start ``view`` with empty protocol state.
+
+        Messages are tagged with the totally ordered view identity
+        (epoch, view_id), so views of different reformation epochs can never
+        be confused even when their view_id values collide.
+        """
+        self._view_id = view.vid
+        # The view's roles and quorums, fixed for as long as it is installed.
+        self._view_members = view.members
+        self._member_set = frozenset(view.members)
+        self._others = tuple(m for m in view.members if m != self.pid)
+        self._majority = view.majority()
+        self._sequencer_pid = view.sequencer
+        #: Whether this process is the view's sequencer.  While it is a
+        #: member (every message handler below runs only then, see
+        #: :meth:`on_message`) this is exactly ``membership.is_sequencer()``.
+        self._leads_view = view.sequencer == self.pid
+
         self._seq_counter = 0
         self._batch_counter = 0
         self._unsequenced: List[BroadcastID] = []
@@ -89,18 +108,20 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         self._next_batch_to_complete = 1
         self._batch_entries: Dict[int, Tuple[Tuple[int, BroadcastID], ...]] = {}
         self._batch_acks: Dict[int, Set[int]] = {}
-        self._batch_delivered: Set[int] = set()
         self._deliverable: Set[int] = set()
-        self._acked_batches: Set[int] = set()
+        #: Batches known from a SEQ and not acknowledged yet (uniform
+        #: non-sequencers only); an ACK removes its batch.
+        self._unacked: Set[int] = set()
         self._next_batch_to_deliver = 1
         self._assignments: Dict[BroadcastID, int] = {}
         self._unstable: Dict[BroadcastID, Optional[int]] = {}
         self._stable_watermark = 0
         self._batch_of: Dict[BroadcastID, int] = {}
+        #: Ids that may have entered ``_unstable`` (or got their batch) after
+        #: the sweep that passed their batch: the next stability sweep must
+        #: look at them (see :meth:`_apply_stability`).
+        self._stale_unstable: List[BroadcastID] = []
         self._requested_retransmit: Set[BroadcastID] = set()
-
-        #: Diagnostics.
-        self.batches_sequenced = 0
 
     # ------------------------------------------------------------------ helpers
 
@@ -108,21 +129,6 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
     def view(self) -> View:
         """The current view according to the membership service."""
         return self.membership.view
-
-    def _members(self) -> Tuple[int, ...]:
-        return self.view.members
-
-    def _other_members(self) -> List[int]:
-        return [m for m in self._members() if m != self.pid]
-
-    def _is_sequencer(self) -> bool:
-        return self.membership.is_sequencer()
-
-    def _sequencer(self) -> int:
-        return self.view.sequencer
-
-    def _operational(self) -> bool:
-        return self.membership.is_member() and not self._frozen
 
     # ------------------------------------------------------------------ API
 
@@ -132,8 +138,8 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         self._notify_broadcast(broadcast_id, payload)
         self._payloads[broadcast_id] = payload
         self._own_pending[broadcast_id] = payload
-        if self._operational():
-            self.send(list(self._members()), (_DATA, self._view_id, broadcast_id, payload))
+        if self.membership.is_member() and not self._frozen:
+            self.send(self._view_members, (_DATA, self._view_id, broadcast_id, payload))
         # Otherwise the message is buffered and multicast when the next view
         # is installed (or when this process rejoins the group).
         return broadcast_id
@@ -151,9 +157,12 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             self._future.setdefault(view_id, []).append((sender, body))
             return
         if view_id < self._view_id:
-            if sender not in self._members():
+            if sender not in self._member_set:
                 self.membership.report_stale_sender(sender, view_id)
             return
+        # The handlers below run only for a member, so within them the
+        # sequencer role is ``_leads_view`` and being operational is not
+        # being frozen; nothing they do changes the membership status.
         if not self.membership.is_member():
             return
         if self._frozen and kind in (_SEQ, _ACK, _DELIVER):
@@ -185,10 +194,13 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             self._payloads[broadcast_id] = payload
 
     def _on_data(self, sender: int, broadcast_id: BroadcastID, payload: Any) -> None:
-        self._record_payload(broadcast_id, payload)
+        # on_message has recorded the payload already.
         if broadcast_id not in self._unstable and not self.has_delivered(broadcast_id):
-            self._unstable.setdefault(broadcast_id, self._assignments.get(broadcast_id))
-        if self._is_sequencer():
+            self._unstable[broadcast_id] = self._assignments.get(broadcast_id)
+            batch_id = self._batch_of.get(broadcast_id)
+            if batch_id is not None and batch_id <= self._stable_watermark:
+                self._stale_unstable.append(broadcast_id)
+        if self._leads_view:
             if (
                 broadcast_id not in self._assignments
                 and not self.has_delivered(broadcast_id)
@@ -203,7 +215,7 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             self._try_deliver_batches()
 
     def _maybe_start_batch(self) -> None:
-        if not self._is_sequencer() or not self._operational():
+        if not self._leads_view or self._frozen:
             return
         if self.uniform and len(self._outstanding) >= self.pipeline_depth:
             return
@@ -212,20 +224,23 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         self._batch_counter += 1
         batch_id = self._batch_counter
         entries = []
+        now, pid = self.now, self.pid
         for broadcast_id in self._unsequenced:
             self._seq_counter += 1
             entries.append((self._seq_counter, broadcast_id))
             self._assignments[broadcast_id] = self._seq_counter
             self._unstable[broadcast_id] = self._seq_counter
             self._batch_of[broadcast_id] = batch_id
-            self._obs.abcast_sequenced(self.now, self.pid, broadcast_id)
+            self._obs.abcast_sequenced(now, pid, broadcast_id)
+        # The new batch lies above the watermark, so its ids need no
+        # stability bookkeeping until the watermark passes it.
         self._unsequenced = []
         entries = tuple(entries)
         self._obs.observe("abcast.batch_size", len(entries))
         self._batch_entries[batch_id] = entries
         self._batch_acks[batch_id] = {self.pid}
         self.batches_sequenced += 1
-        others = self._other_members()
+        others = self._others
         if others:
             self.send(others, (_SEQ, self._view_id, batch_id, entries, self._stable_watermark))
         if self.uniform:
@@ -243,16 +258,22 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         entries: Tuple[Tuple[int, BroadcastID], ...],
         watermark: int,
     ) -> None:
-        if sender != self._sequencer():
+        if sender != self._sequencer_pid:
             return
         if batch_id not in self._batch_entries:
             self._batch_entries[batch_id] = tuple(entries)
+            now, pid = self.now, self.pid
             for seqnum, broadcast_id in entries:
                 self._assignments[broadcast_id] = seqnum
                 self._batch_of[broadcast_id] = batch_id
-                self._obs.abcast_sequenced(self.now, self.pid, broadcast_id)
+                self._obs.abcast_sequenced(now, pid, broadcast_id)
                 if not self.has_delivered(broadcast_id):
                     self._unstable[broadcast_id] = seqnum
+            if batch_id <= self._stable_watermark:
+                # A SEQ overtaken by the stability news of its own batch.
+                self._stale_unstable.extend(bid for _seq, bid in entries)
+            if self.uniform:
+                self._unacked.add(batch_id)
         self._apply_stability(watermark)
         if self.uniform:
             self._try_ack_known_batches()
@@ -261,21 +282,24 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             self._try_deliver_batches()
 
     def _try_ack_known_batches(self) -> None:
-        if self._is_sequencer() or not self.uniform or not self._operational():
+        """Acknowledge, in batch order, every unacked batch whose payloads are all known.
+
+        A batch still missing a payload asks for it and does not hold back
+        the acknowledgement of a later batch.
+        """
+        if not self._unacked or self._frozen:
             return
-        for batch_id in sorted(self._batch_entries):
-            if batch_id in self._acked_batches:
-                continue
+        for batch_id in sorted(self._unacked):
             entries = self._batch_entries[batch_id]
             missing = [bid for _seq, bid in entries if bid not in self._payloads]
             if missing:
                 self._request_retransmit(missing)
                 continue
-            self._acked_batches.add(batch_id)
-            self.send_one(self._sequencer(), (_ACK, self._view_id, batch_id))
+            self._unacked.discard(batch_id)
+            self.send_one(self._sequencer_pid, (_ACK, self._view_id, batch_id))
 
     def _on_ack(self, sender: int, batch_id: int) -> None:
-        if not self._is_sequencer():
+        if not self._leads_view:
             return
         acks = self._batch_acks.setdefault(batch_id, set())
         acks.add(sender)
@@ -285,9 +309,8 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
     def _maybe_complete_batch(self, batch_id: int) -> None:
         if not self.uniform or batch_id not in self._outstanding:
             return
-        acks = self._batch_acks.get(batch_id, set())
-        members = set(self._members())
-        if len(acks & members) < self.view.majority():
+        acks = self._batch_acks.get(batch_id, ())
+        if len(self._member_set.intersection(acks)) < self._majority:
             return
         self._ready_batches.add(batch_id)
         # Batches are completed strictly in order so that every process
@@ -295,7 +318,7 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         while self._next_batch_to_complete in self._ready_batches:
             completing = self._next_batch_to_complete
             self._deliver_batch(completing)
-            others = self._other_members()
+            others = self._others
             if others:
                 self.send(
                     others, (_DELIVER, self._view_id, completing, self._stable_watermark)
@@ -306,7 +329,7 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         self._maybe_start_batch()
 
     def _on_deliver(self, sender: int, batch_id: int, watermark: int) -> None:
-        if sender != self._sequencer():
+        if sender != self._sequencer_pid:
             return
         self._deliverable.add(batch_id)
         self._apply_stability(watermark)
@@ -319,14 +342,13 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         for _seqnum, broadcast_id in sorted(entries):
             payload = self._payloads.get(broadcast_id)
             self._deliver_message(broadcast_id, payload)
-        self._batch_delivered.add(batch_id)
 
     def _try_deliver_batches(self) -> None:
+        if self._leads_view and self.uniform:
+            # The sequencer delivers through _maybe_complete_batch.
+            return
         while True:
             batch_id = self._next_batch_to_deliver
-            if self._is_sequencer() and self.uniform:
-                # The sequencer delivers through _maybe_complete_batch.
-                return
             if batch_id not in self._deliverable or batch_id not in self._batch_entries:
                 return
             entries = self._batch_entries[batch_id]
@@ -347,10 +369,10 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
         missing = tuple(
             bid for bid in broadcast_ids if bid not in self._requested_retransmit
         )
-        if not missing or self._is_sequencer():
+        if not missing or self._leads_view:
             return
         self._requested_retransmit.update(missing)
-        self.send_one(self._sequencer(), (_RETR_REQ, self._view_id, missing))
+        self.send_one(self._sequencer_pid, (_RETR_REQ, self._view_id, missing))
 
     def _on_retransmit_request(self, sender: int, broadcast_ids: Tuple[BroadcastID, ...]) -> None:
         entries = tuple(
@@ -369,28 +391,44 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
 
     def _update_stability(self) -> None:
         """Advance the stable watermark: batches acknowledged by all members."""
-        members = set(self._members())
+        members = self._member_set
         watermark = self._stable_watermark
         while True:
             next_batch = watermark + 1
             if next_batch not in self._batch_entries:
                 break
-            acks = self._batch_acks.get(next_batch, set())
-            if not members.issubset(acks):
+            if not members.issubset(self._batch_acks.get(next_batch, ())):
                 break
             watermark = next_batch
         if watermark != self._stable_watermark:
-            self._stable_watermark = watermark
             self._apply_stability(watermark)
 
     def _apply_stability(self, watermark: int) -> None:
+        """Raise the watermark to ``watermark`` and drop the ids it makes stable.
+
+        Afterwards no id left in ``_unstable`` belongs to a batch at or below
+        the watermark.  That held after the previous sweep, so only two kinds
+        of ids can break it now: those of the batches between the old and the
+        new watermark, and those queued in ``_stale_unstable`` since.
+        """
         if watermark <= 0:
             return
-        self._stable_watermark = max(self._stable_watermark, watermark)
-        for broadcast_id in list(self._unstable):
-            batch = self._batch_of.get(broadcast_id)
-            if batch is not None and batch <= self._stable_watermark:
-                del self._unstable[broadcast_id]
+        unstable = self._unstable
+        batch_of = self._batch_of
+        previous = self._stable_watermark
+        if watermark > previous:
+            self._stable_watermark = watermark
+            for batch_id in range(previous + 1, watermark + 1):
+                for _seqnum, broadcast_id in self._batch_entries.get(batch_id, ()):
+                    if broadcast_id in unstable and batch_of[broadcast_id] <= watermark:
+                        del unstable[broadcast_id]
+        if self._stale_unstable:
+            watermark = self._stable_watermark
+            for broadcast_id in self._stale_unstable:
+                batch_id = batch_of.get(broadcast_id)
+                if broadcast_id in unstable and batch_id is not None and batch_id <= watermark:
+                    del unstable[broadcast_id]
+            self._stale_unstable = []
 
     # ------------------------------------------------------------------ group membership hooks
 
@@ -430,6 +468,7 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
             if broadcast_id not in self._payloads:
                 continue
             self._unstable[broadcast_id] = seqnum
+            self._stale_unstable.append(broadcast_id)
 
     def deliver_view_change(self, entries: Tuple) -> None:
         """Deliver the decided union of unstable messages (view synchrony).
@@ -457,32 +496,15 @@ class SequencerAtomicBroadcast(AtomicBroadcast):
 
     def on_view_installed(self, view: View) -> None:
         """Reset the per-view protocol state and restart in ``view``."""
-        self._view_id = view.vid
         self._frozen = False
-        self._seq_counter = 0
-        self._batch_counter = 0
-        self._unsequenced = []
-        self._outstanding = set()
-        self._ready_batches = set()
-        self._next_batch_to_complete = 1
-        self._batch_entries = {}
-        self._batch_acks = {}
-        self._batch_delivered = set()
-        self._deliverable = set()
-        self._acked_batches = set()
-        self._next_batch_to_deliver = 1
-        self._assignments = {}
-        self._unstable = {}
-        self._stable_watermark = 0
-        self._batch_of = {}
-        self._requested_retransmit = set()
+        self._reset_view_state(view)
         # Re-multicast our own messages that are not delivered yet: they may
         # have been lost in the view change (or never sent if we were frozen
         # or excluded when they were A-broadcast).
         if self.membership.is_member():
             for broadcast_id, payload in sorted(self._own_pending.items()):
                 self.send(
-                    list(view.members), (_DATA, self._view_id, broadcast_id, payload)
+                    self._view_members, (_DATA, self._view_id, broadcast_id, payload)
                 )
         self._replay_future(view.vid)
 
